@@ -16,6 +16,84 @@ use gsn_types::{Duration, GsnError, GsnResult, NodeId, SimulatedClock, Timestamp
 use crate::config::ContainerConfig;
 use crate::container::{GsnContainer, StepReport};
 
+/// The plumbing [`Federation`] and [`Mesh`] share: both hold the same `network`,
+/// `clock`, `nodes` and `next_node` fields and step their containers the same way.
+macro_rules! harness_methods {
+    ($what:literal) => {
+        /// The shared simulated clock.
+        pub fn clock(&self) -> &SimulatedClock {
+            &self.clock
+        }
+
+        /// The current simulated time.
+        pub fn now(&self) -> Timestamp {
+            use gsn_types::Clock as _;
+            self.clock.now()
+        }
+
+        /// The shared network (for configuring links, partitions, inspecting statistics).
+        pub fn network(&self) -> &Arc<SimulatedNetwork> {
+            &self.network
+        }
+
+        /// Adds a container with an auto-assigned node id.
+        pub fn add_node(&mut self, name: &str) -> GsnResult<NodeId> {
+            let node_id = NodeId::new(self.next_node);
+            self.next_node += 1;
+            self.add_node_with_config(ContainerConfig::named(node_id, name))
+        }
+
+        /// The node ids, in order.
+        pub fn node_ids(&self) -> Vec<NodeId> {
+            self.nodes.keys().copied().collect()
+        }
+
+        /// Mutable access to a container.
+        pub fn node_mut(&mut self, node: NodeId) -> GsnResult<&mut GsnContainer> {
+            self.nodes.get_mut(&node).ok_or_else(|| {
+                GsnError::not_found(format!(concat!("{} is not part of this ", $what), node))
+            })
+        }
+
+        /// Shared access to a container.
+        pub fn node(&self, node: NodeId) -> GsnResult<&GsnContainer> {
+            self.nodes.get(&node).ok_or_else(|| {
+                GsnError::not_found(format!(concat!("{} is not part of this ", $what), node))
+            })
+        }
+
+        /// Configures the link between two nodes.
+        pub fn set_link(&self, a: NodeId, b: NodeId, spec: LinkSpec) {
+            self.network.set_link(a, b, spec);
+        }
+
+        /// Advances the simulated clock by `delta` and steps every container twice: the
+        /// first pass polls wrappers and sends remote deliveries, the second drains
+        /// whatever arrived within the same tick.
+        pub fn step(&mut self, delta: Duration) -> StepReport {
+            self.clock.advance(delta);
+            let mut report = StepReport::default();
+            for _pass in 0..2 {
+                for container in self.nodes.values_mut() {
+                    report.absorb(container.step());
+                }
+            }
+            report
+        }
+
+        /// Runs for `total` simulated time in `tick`-sized steps, returning the
+        /// aggregated report.
+        pub fn run_for(&mut self, total: Duration, tick: Duration) -> StepReport {
+            let mut report = StepReport::default();
+            let ticks = (total.as_millis() / tick.as_millis().max(1)).max(1);
+            for _ in 0..ticks {
+                report.absorb(self.step(tick));
+            }
+            report
+        }
+    };
+}
+
 /// A set of GSN containers sharing a simulated network, directory and clock.
 pub struct Federation {
     network: Arc<SimulatedNetwork>,
@@ -49,33 +127,11 @@ impl Federation {
         }
     }
 
-    /// The shared simulated clock.
-    pub fn clock(&self) -> &SimulatedClock {
-        &self.clock
-    }
-
-    /// The current simulated time.
-    pub fn now(&self) -> Timestamp {
-        use gsn_types::Clock as _;
-        self.clock.now()
-    }
-
-    /// The shared network (for configuring links, partitions, inspecting statistics).
-    pub fn network(&self) -> &Arc<SimulatedNetwork> {
-        &self.network
-    }
+    harness_methods!("federation");
 
     /// The shared directory.
     pub fn directory(&self) -> &Arc<Directory> {
         &self.directory
-    }
-
-    /// Adds a container with an auto-assigned node id.
-    pub fn add_node(&mut self, name: &str) -> GsnResult<NodeId> {
-        let node_id = NodeId::new(self.next_node);
-        self.next_node += 1;
-        let config = ContainerConfig::named(node_id, name);
-        self.add_node_with_config(config)
     }
 
     /// Adds a container with an explicit configuration.
@@ -94,60 +150,6 @@ impl Federation {
         )?;
         self.nodes.insert(node_id, container);
         Ok(node_id)
-    }
-
-    /// The node ids, in order.
-    pub fn node_ids(&self) -> Vec<NodeId> {
-        self.nodes.keys().copied().collect()
-    }
-
-    /// Mutable access to a container.
-    pub fn node_mut(&mut self, node: NodeId) -> GsnResult<&mut GsnContainer> {
-        self.nodes
-            .get_mut(&node)
-            .ok_or_else(|| GsnError::not_found(format!("{node} is not part of this federation")))
-    }
-
-    /// Shared access to a container.
-    pub fn node(&self, node: NodeId) -> GsnResult<&GsnContainer> {
-        self.nodes
-            .get(&node)
-            .ok_or_else(|| GsnError::not_found(format!("{node} is not part of this federation")))
-    }
-
-    /// Configures the link between two nodes.
-    pub fn set_link(&self, a: NodeId, b: NodeId, spec: LinkSpec) {
-        self.network.set_link(a, b, spec);
-    }
-
-    /// Advances the simulated clock by `delta` and steps every container.
-    ///
-    /// Containers are stepped twice: the first pass polls wrappers and sends remote
-    /// deliveries; the second pass drains whatever arrived within the same tick.
-    pub fn step(&mut self, delta: Duration) -> StepReport {
-        self.clock.advance(delta);
-        let mut report = StepReport::default();
-        for container in self.nodes.values_mut() {
-            let r = container.step();
-            report.absorb(r);
-        }
-        for container in self.nodes.values_mut() {
-            let r = container.step();
-            report.absorb(r);
-        }
-        report
-    }
-
-    /// Runs the federation for `total` simulated time in `tick`-sized steps, returning the
-    /// aggregated report.
-    pub fn run_for(&mut self, total: Duration, tick: Duration) -> StepReport {
-        let mut report = StepReport::default();
-        let ticks = (total.as_millis() / tick.as_millis().max(1)).max(1);
-        for _ in 0..ticks {
-            let r = self.step(tick);
-            report.absorb(r);
-        }
-        report
     }
 
     /// Renders the status of every container.
@@ -200,33 +202,11 @@ impl Mesh {
         }
     }
 
-    /// The shared simulated clock.
-    pub fn clock(&self) -> &SimulatedClock {
-        &self.clock
-    }
+    harness_methods!("mesh");
 
-    /// The current simulated time.
-    pub fn now(&self) -> Timestamp {
-        use gsn_types::Clock as _;
-        self.clock.now()
-    }
-
-    /// The shared network (for configuring links, partitions, inspecting statistics).
-    pub fn network(&self) -> &Arc<SimulatedNetwork> {
-        &self.network
-    }
-
-    /// Adds a mesh container with an auto-assigned node id.  The new node seeds its
+    /// Adds a mesh container with an explicit configuration.  The new node seeds its
     /// ring view from an arbitrary existing member (the mesh's introducer), then
     /// announces the grown membership to everyone.
-    pub fn add_node(&mut self, name: &str) -> GsnResult<NodeId> {
-        let node_id = NodeId::new(self.next_node);
-        self.next_node += 1;
-        let config = ContainerConfig::named(node_id, name);
-        self.add_node_with_config(config)
-    }
-
-    /// Adds a mesh container with an explicit configuration.
     pub fn add_node_with_config(&mut self, config: ContainerConfig) -> GsnResult<NodeId> {
         let node_id = config.node_id;
         if self.nodes.contains_key(&node_id) {
@@ -266,30 +246,6 @@ impl Mesh {
         Ok(())
     }
 
-    /// The node ids, in order.
-    pub fn node_ids(&self) -> Vec<NodeId> {
-        self.nodes.keys().copied().collect()
-    }
-
-    /// Mutable access to a container.
-    pub fn node_mut(&mut self, node: NodeId) -> GsnResult<&mut GsnContainer> {
-        self.nodes
-            .get_mut(&node)
-            .ok_or_else(|| GsnError::not_found(format!("{node} is not part of this mesh")))
-    }
-
-    /// Shared access to a container.
-    pub fn node(&self, node: NodeId) -> GsnResult<&GsnContainer> {
-        self.nodes
-            .get(&node)
-            .ok_or_else(|| GsnError::not_found(format!("{node} is not part of this mesh")))
-    }
-
-    /// Configures the link between two nodes.
-    pub fn set_link(&self, a: NodeId, b: NodeId, spec: LinkSpec) {
-        self.network.set_link(a, b, spec);
-    }
-
     /// Configures every pairwise link in the mesh at once.
     pub fn set_all_links(&self, spec: LinkSpec) {
         let ids = self.node_ids();
@@ -298,33 +254,6 @@ impl Mesh {
                 self.network.set_link(*a, *b, spec);
             }
         }
-    }
-
-    /// Advances the simulated clock by `delta` and steps every container twice (send
-    /// pass, then drain pass), exactly like [`Federation::step`].
-    pub fn step(&mut self, delta: Duration) -> StepReport {
-        self.clock.advance(delta);
-        let mut report = StepReport::default();
-        for container in self.nodes.values_mut() {
-            let r = container.step();
-            report.absorb(r);
-        }
-        for container in self.nodes.values_mut() {
-            let r = container.step();
-            report.absorb(r);
-        }
-        report
-    }
-
-    /// Runs the mesh for `total` simulated time in `tick`-sized steps.
-    pub fn run_for(&mut self, total: Duration, tick: Duration) -> StepReport {
-        let mut report = StepReport::default();
-        let ticks = (total.as_millis() / tick.as_millis().max(1)).max(1);
-        for _ in 0..ticks {
-            let r = self.step(tick);
-            report.absorb(r);
-        }
-        report
     }
 
     /// Issues a federated query from `via` and steps the mesh until the scatter-gather
@@ -646,16 +575,18 @@ mod tests {
         fed.step(Duration::from_millis(100));
         assert_eq!(fed.node(client_node).unwrap().pending_remote_queries(), 1);
 
-        // Once the idle timeout elapses, the step loops reap both the abandoned
-        // server cursor and the stalled client request, so neither side leaks.
+        // Once the idle timeout elapses, the step loops reap the abandoned server
+        // cursor, and the stalled client request ends in a typed timeout that is
+        // gone once taken, so neither side leaks.
         fed.run_for(Duration::from_secs(61), Duration::from_secs(1));
         assert_eq!(fed.node(producer_node).unwrap().open_remote_cursors(), 0);
-        assert_eq!(fed.node(client_node).unwrap().pending_remote_queries(), 0);
-        assert!(fed
+        let outcome = fed
             .node_mut(client_node)
             .unwrap()
             .take_remote_query_result(stalled)
-            .is_none());
+            .expect("the stalled request must end");
+        assert_eq!(outcome.unwrap_err().category(), "timeout");
+        assert_eq!(fed.node(client_node).unwrap().pending_remote_queries(), 0);
 
         // Cancellation removes a tracked request immediately.
         fed.network().heal_partition(client_node, producer_node);

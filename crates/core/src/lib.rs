@@ -41,6 +41,8 @@
 //! * [`notification`] — the notification manager.
 //! * [`pool`] — worker pools backing `<life-cycle pool-size="N">`.
 //! * [`federation`] — the multi-node harness (peer-to-peer overlay of containers).
+//! * `peer` — the one table tracking every request a container sends its peers
+//!   (ids, re-sends, deadlines, result parking).
 //! * [`telemetry`] — the container's metric descriptors and instrument handles.
 
 #![warn(missing_docs)]
@@ -52,6 +54,7 @@ pub mod cursor;
 pub mod federation;
 pub mod ism;
 pub mod notification;
+mod peer;
 pub mod pool;
 pub mod query;
 pub mod sensor;

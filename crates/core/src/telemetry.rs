@@ -124,8 +124,8 @@ pub static FEDERATION_BATCH_RTT_MILLIS: MetricDesc = MetricDesc::histogram(
     "milliseconds",
 );
 
-/// Lossy-link recovery retransmissions (re-sent `QueryRequest`/`QueryNext`/
-/// `MetricsRequest` messages).
+/// Frames re-sent by the peer-request timer after a request heard nothing for its
+/// retry interval (every request kind, subscriptions included).
 pub static FEDERATION_RETRANSMITS_TOTAL: MetricDesc = MetricDesc::counter(
     "gsn_federation_retransmits_total",
     "Requests re-sent by the lossy-link recovery timers",
@@ -196,6 +196,31 @@ pub static TRACE_REMOTE_SPANS_TOTAL: MetricDesc = MetricDesc::counter(
     "spans",
 );
 
+/// Outbound peer requests still tracked, in flight or parked for their taker
+/// (labeled `kind="remote_query|federated|metrics_scrape|trace_collect|subscription"`).
+pub static REQUESTS_PENDING: MetricDesc = MetricDesc::gauge(
+    "gsn_federation_requests_pending",
+    "Outbound peer requests in flight or holding a result for their taker",
+    "requests",
+)
+.with_label("kind");
+
+/// Outbound peer requests that ended in a timeout (labeled by request kind).
+pub static REQUEST_TIMEOUTS_TOTAL: MetricDesc = MetricDesc::counter(
+    "gsn_federation_request_timeouts_total",
+    "Outbound peer requests that made no progress before their deadline",
+    "requests",
+)
+.with_label("kind");
+
+/// Frames the network refused to send (labeled by frame kind, e.g. `query-next`).
+pub static SEND_FAILURES_TOTAL: MetricDesc = MetricDesc::counter(
+    "gsn_federation_send_failures_total",
+    "Frames the network refused (unknown or partitioned destination)",
+    "frames",
+)
+.with_label("kind");
+
 /// Per-subsystem health state evaluated on gossip rounds
 /// (labeled `subsystem="..."`; 0 = healthy, 1 = degraded, 2 = unhealthy).
 pub static HEALTH_STATE: MetricDesc = MetricDesc::gauge(
@@ -207,10 +232,9 @@ pub static HEALTH_STATE: MetricDesc = MetricDesc::gauge(
 
 /// The live instrument handles of the container itself.
 ///
-/// Created detached at container construction and adopted into the container's
-/// [`MetricsRegistry`]; handles are cheap clones of shared cells, so per-shard
-/// recordings merge for free.
-#[derive(Debug, Clone, Default)]
+/// Created in the container's [`MetricsRegistry`]; handles are cheap clones of
+/// shared cells, so per-shard recordings merge for free.
+#[derive(Debug, Clone)]
 pub struct ContainerTelemetry {
     /// Full-step duration.
     pub step_micros: Histogram,
@@ -261,45 +285,33 @@ pub struct ContainerTelemetry {
 }
 
 impl ContainerTelemetry {
-    /// Fresh, detached handles.
-    pub fn new() -> ContainerTelemetry {
-        ContainerTelemetry::default()
-    }
-
-    /// Adopts every handle into `registry` so snapshots include them.
-    pub fn register_into(&self, registry: &MetricsRegistry) {
-        registry.register_histogram(&STEP_MICROS, &self.step_micros);
-        registry.register_histogram(&STEP_NETWORK_DRAIN_MICROS, &self.network_drain_micros);
-        registry.register_histogram(&STEP_PIPELINE_MICROS, &self.pipeline_micros);
-        registry.register_histogram(&STEP_POST_BARRIER_MICROS, &self.post_barrier_micros);
-        registry.register_histogram(&STEP_COMMIT_MICROS, &self.commit_micros);
-        registry.register_counter(&STEPS_TOTAL, &self.steps_total);
-        registry.register_counter(&LOCAL_ARRIVALS_TOTAL, &self.local_arrivals_total);
-        registry.register_counter(&REMOTE_ARRIVALS_TOTAL, &self.remote_arrivals_total);
-        registry.register_counter(&OUTPUTS_TOTAL, &self.outputs_total);
-        registry.register_counter(&QUERY_EVALUATIONS_TOTAL, &self.query_evaluations_total);
-        registry.register_counter(&PIPELINE_ERRORS_TOTAL, &self.errors_total);
-        registry.register_counter(&SILENCE_EVENTS_TOTAL, &self.silence_events_total);
-        registry.register_histogram(&FEDERATION_BATCH_RTT_MILLIS, &self.batch_rtt_millis);
-        registry.register_counter(&FEDERATION_RETRANSMITS_TOTAL, &self.retransmits_total);
-        registry.register_counter(&FEDERATION_SCRAPES_SERVED_TOTAL, &self.scrapes_served_total);
-        registry.register_counter(&FEDERATION_PEER_SNAPSHOTS_TOTAL, &self.peer_snapshots_total);
-        registry.register_counter(&FEDERATION_GOSSIP_ROUNDS_TOTAL, &self.gossip_rounds_total);
-        registry.register_counter(&FEDERATION_GOSSIP_BYTES_TOTAL, &self.gossip_bytes_total);
-        registry.register_counter(
-            &FEDERATION_SCATTER_QUERIES_TOTAL,
-            &self.scatter_queries_total,
-        );
-        registry.register_counter(
-            &FEDERATION_SCATTER_FALLBACK_TOTAL,
-            &self.scatter_fallback_total,
-        );
-        registry.register_histogram(
-            &FEDERATION_SCATTER_LATENCY_MILLIS,
-            &self.scatter_latency_millis,
-        );
-        registry.register_counter(&FEDERATION_PREFETCH_HITS_TOTAL, &self.prefetch_hits_total);
-        registry.register_counter(&TRACE_REMOTE_SPANS_TOTAL, &self.remote_spans_total);
+    /// The container's own instruments, created in `registry`.
+    pub fn new(registry: &MetricsRegistry) -> ContainerTelemetry {
+        ContainerTelemetry {
+            step_micros: registry.histogram(&STEP_MICROS),
+            network_drain_micros: registry.histogram(&STEP_NETWORK_DRAIN_MICROS),
+            pipeline_micros: registry.histogram(&STEP_PIPELINE_MICROS),
+            post_barrier_micros: registry.histogram(&STEP_POST_BARRIER_MICROS),
+            commit_micros: registry.histogram(&STEP_COMMIT_MICROS),
+            steps_total: registry.counter(&STEPS_TOTAL),
+            local_arrivals_total: registry.counter(&LOCAL_ARRIVALS_TOTAL),
+            remote_arrivals_total: registry.counter(&REMOTE_ARRIVALS_TOTAL),
+            outputs_total: registry.counter(&OUTPUTS_TOTAL),
+            query_evaluations_total: registry.counter(&QUERY_EVALUATIONS_TOTAL),
+            errors_total: registry.counter(&PIPELINE_ERRORS_TOTAL),
+            silence_events_total: registry.counter(&SILENCE_EVENTS_TOTAL),
+            batch_rtt_millis: registry.histogram(&FEDERATION_BATCH_RTT_MILLIS),
+            retransmits_total: registry.counter(&FEDERATION_RETRANSMITS_TOTAL),
+            scrapes_served_total: registry.counter(&FEDERATION_SCRAPES_SERVED_TOTAL),
+            peer_snapshots_total: registry.counter(&FEDERATION_PEER_SNAPSHOTS_TOTAL),
+            gossip_rounds_total: registry.counter(&FEDERATION_GOSSIP_ROUNDS_TOTAL),
+            gossip_bytes_total: registry.counter(&FEDERATION_GOSSIP_BYTES_TOTAL),
+            scatter_queries_total: registry.counter(&FEDERATION_SCATTER_QUERIES_TOTAL),
+            scatter_fallback_total: registry.counter(&FEDERATION_SCATTER_FALLBACK_TOTAL),
+            scatter_latency_millis: registry.histogram(&FEDERATION_SCATTER_LATENCY_MILLIS),
+            prefetch_hits_total: registry.counter(&FEDERATION_PREFETCH_HITS_TOTAL),
+            remote_spans_total: registry.counter(&TRACE_REMOTE_SPANS_TOTAL),
+        }
     }
 
     /// Folds one step report's counters into the cumulative totals.
@@ -693,13 +705,6 @@ pub static REMOTE_CURSORS_OPEN: MetricDesc = MetricDesc::gauge(
     "cursors",
 );
 
-/// Remote queries issued by this container and still tracked.
-pub static REMOTE_QUERIES_PENDING: MetricDesc = MetricDesc::gauge(
-    "gsn_remote_queries_pending",
-    "Remote queries issued by this container and still tracked",
-    "queries",
-);
-
 /// Directory registrations observed by this node (shared directory or local replica).
 pub static DIRECTORY_REGISTRATIONS_TOTAL: MetricDesc = MetricDesc::counter(
     "gsn_directory_registrations_total",
@@ -757,7 +762,7 @@ pub static FEDERATION_GOSSIP_STALE_TOTAL: MetricDesc = MetricDesc::counter(
 );
 
 /// Handles for every sourced metric, plus the refresh that stores the current totals.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct SourcedMetrics {
     storage_tables: Gauge,
     storage_retained_rows: Gauge,
@@ -796,7 +801,6 @@ pub struct SourcedMetrics {
     net_bytes_sent: Counter,
     sensors_deployed: Gauge,
     remote_cursors_open: Gauge,
-    remote_queries_pending: Gauge,
     directory_registrations: Counter,
     directory_deregistrations: Counter,
     directory_lookups: Counter,
@@ -826,8 +830,6 @@ pub struct SourcedTotals<'a> {
     pub sensors: usize,
     /// Open remote cursors.
     pub remote_cursors: usize,
-    /// Pending remote queries.
-    pub remote_queries: usize,
     /// Shared-directory statistics (federation with a central directory).
     pub directory: Option<gsn_network::DirectoryStats>,
     /// Replicated-directory statistics (mesh federation).
@@ -841,81 +843,56 @@ pub struct SourcedTotals<'a> {
 }
 
 impl SourcedMetrics {
-    /// Fresh, detached handles.
-    pub fn new() -> SourcedMetrics {
-        SourcedMetrics::default()
-    }
-
-    /// Adopts every handle into `registry` so snapshots include them (at zero until the
+    /// Handles for every sourced metric, created in `registry` (at zero until the
     /// first [`refresh`](Self::refresh)).
-    pub fn register_into(&self, registry: &MetricsRegistry) {
-        registry.register_gauge(&STORAGE_TABLES, &self.storage_tables);
-        registry.register_gauge(&STORAGE_RETAINED_ROWS, &self.storage_retained_rows);
-        registry.register_gauge(&STORAGE_RETAINED_BYTES, &self.storage_retained_bytes);
-        registry.register_counter(&STORAGE_ROWS_INSERTED_TOTAL, &self.storage_rows_inserted);
-        registry.register_counter(&STORAGE_ROWS_PRUNED_TOTAL, &self.storage_rows_pruned);
-        registry.register_counter(&STORAGE_OUT_OF_ORDER_TOTAL, &self.storage_out_of_order);
-        registry.register_counter(&STORAGE_BYTES_INSERTED_TOTAL, &self.storage_bytes_inserted);
-        registry.register_counter(&STORAGE_POOL_HITS_TOTAL, &self.pool_hits);
-        registry.register_counter(&STORAGE_POOL_MISSES_TOTAL, &self.pool_misses);
-        registry.register_counter(&STORAGE_POOL_EVICTIONS_TOTAL, &self.pool_evictions);
-        registry.register_counter(&STORAGE_POOL_WRITEBACKS_TOTAL, &self.pool_writebacks);
-        registry.register_counter(&STORAGE_POOL_CONTENDED_TOTAL, &self.pool_contended);
-        registry.register_gauge(&STORAGE_POOL_RESIDENT_PAGES, &self.pool_resident_pages);
-        registry.register_counter(&STORAGE_SPILL_MIGRATIONS_TOTAL, &self.spill_migrations);
-        registry.register_gauge(&STORAGE_SPILLED_ROWS, &self.spilled_rows);
-        registry.register_counter(&SQL_PLANS_COMPILED_TOTAL, &self.sql_compiled);
-        registry.register_counter(&SQL_PLAN_CACHE_HITS_TOTAL, &self.sql_cache_hits);
-        registry.register_counter(&SQL_EXECUTIONS_TOTAL, &self.sql_executions);
-        registry.register_counter(&SQL_ROWS_SCANNED_TOTAL, &self.sql_rows_scanned);
-        registry.register_counter(&SQL_ROWS_RETURNED_TOTAL, &self.sql_rows_returned);
-        registry.register_counter(&SQL_PUSHDOWN_APPLIED_TOTAL, &self.sql_pushdown_applied);
-        registry.register_counter(
-            &SQL_RESIDUAL_ROWS_FILTERED_TOTAL,
-            &self.sql_residual_rows_filtered,
-        );
-        registry.register_counter(&QUERY_ADHOC_TOTAL, &self.query_adhoc);
-        registry.register_counter(
-            &QUERY_REGISTERED_EVALUATED_TOTAL,
-            &self.query_registered_evaluated,
-        );
-        registry.register_counter(
-            &QUERY_REGISTERED_FAILED_TOTAL,
-            &self.query_registered_failed,
-        );
-        registry.register_gauge(&QUERY_REGISTERED, &self.query_registered);
-        registry.register_counter(&NOTIFY_LOCAL_DELIVERED_TOTAL, &self.notify_local_delivered);
-        registry.register_counter(&NOTIFY_LOCAL_FAILED_TOTAL, &self.notify_local_failed);
-        registry.register_counter(
-            &NOTIFY_REMOTE_DELIVERED_TOTAL,
-            &self.notify_remote_delivered,
-        );
-        registry.register_counter(&NOTIFY_REMOTE_BUFFERED_TOTAL, &self.notify_remote_buffered);
-        registry.register_counter(&NOTIFY_REMOTE_DROPPED_TOTAL, &self.notify_remote_dropped);
-        registry.register_counter(&NET_SENT_TOTAL, &self.net_sent);
-        registry.register_counter(&NET_DROPPED_TOTAL, &self.net_dropped);
-        registry.register_counter(&NET_DELIVERED_TOTAL, &self.net_delivered);
-        registry.register_counter(&NET_BYTES_SENT_TOTAL, &self.net_bytes_sent);
-        registry.register_gauge(&SENSORS_DEPLOYED, &self.sensors_deployed);
-        registry.register_gauge(&REMOTE_CURSORS_OPEN, &self.remote_cursors_open);
-        registry.register_gauge(&REMOTE_QUERIES_PENDING, &self.remote_queries_pending);
-        registry.register_counter(
-            &DIRECTORY_REGISTRATIONS_TOTAL,
-            &self.directory_registrations,
-        );
-        registry.register_counter(
-            &DIRECTORY_DEREGISTRATIONS_TOTAL,
-            &self.directory_deregistrations,
-        );
-        registry.register_counter(&DIRECTORY_LOOKUPS_TOTAL, &self.directory_lookups);
-        registry.register_gauge(&FEDERATION_RING_MEMBERS, &self.ring_members);
-        registry.register_gauge(
-            &FEDERATION_RING_OWNERSHIP_PERMILLE,
-            &self.ring_ownership_permille,
-        );
-        registry.register_gauge(&FEDERATION_REPLICA_RECORDS, &self.replica_records);
-        registry.register_counter(&FEDERATION_GOSSIP_APPLIED_TOTAL, &self.gossip_applied);
-        registry.register_counter(&FEDERATION_GOSSIP_STALE_TOTAL, &self.gossip_stale);
+    pub fn new(registry: &MetricsRegistry) -> SourcedMetrics {
+        SourcedMetrics {
+            storage_tables: registry.gauge(&STORAGE_TABLES),
+            storage_retained_rows: registry.gauge(&STORAGE_RETAINED_ROWS),
+            storage_retained_bytes: registry.gauge(&STORAGE_RETAINED_BYTES),
+            storage_rows_inserted: registry.counter(&STORAGE_ROWS_INSERTED_TOTAL),
+            storage_rows_pruned: registry.counter(&STORAGE_ROWS_PRUNED_TOTAL),
+            storage_out_of_order: registry.counter(&STORAGE_OUT_OF_ORDER_TOTAL),
+            storage_bytes_inserted: registry.counter(&STORAGE_BYTES_INSERTED_TOTAL),
+            pool_hits: registry.counter(&STORAGE_POOL_HITS_TOTAL),
+            pool_misses: registry.counter(&STORAGE_POOL_MISSES_TOTAL),
+            pool_evictions: registry.counter(&STORAGE_POOL_EVICTIONS_TOTAL),
+            pool_writebacks: registry.counter(&STORAGE_POOL_WRITEBACKS_TOTAL),
+            pool_contended: registry.counter(&STORAGE_POOL_CONTENDED_TOTAL),
+            pool_resident_pages: registry.gauge(&STORAGE_POOL_RESIDENT_PAGES),
+            spill_migrations: registry.counter(&STORAGE_SPILL_MIGRATIONS_TOTAL),
+            spilled_rows: registry.gauge(&STORAGE_SPILLED_ROWS),
+            sql_compiled: registry.counter(&SQL_PLANS_COMPILED_TOTAL),
+            sql_cache_hits: registry.counter(&SQL_PLAN_CACHE_HITS_TOTAL),
+            sql_executions: registry.counter(&SQL_EXECUTIONS_TOTAL),
+            sql_rows_scanned: registry.counter(&SQL_ROWS_SCANNED_TOTAL),
+            sql_rows_returned: registry.counter(&SQL_ROWS_RETURNED_TOTAL),
+            sql_pushdown_applied: registry.counter(&SQL_PUSHDOWN_APPLIED_TOTAL),
+            sql_residual_rows_filtered: registry.counter(&SQL_RESIDUAL_ROWS_FILTERED_TOTAL),
+            query_adhoc: registry.counter(&QUERY_ADHOC_TOTAL),
+            query_registered_evaluated: registry.counter(&QUERY_REGISTERED_EVALUATED_TOTAL),
+            query_registered_failed: registry.counter(&QUERY_REGISTERED_FAILED_TOTAL),
+            query_registered: registry.gauge(&QUERY_REGISTERED),
+            notify_local_delivered: registry.counter(&NOTIFY_LOCAL_DELIVERED_TOTAL),
+            notify_local_failed: registry.counter(&NOTIFY_LOCAL_FAILED_TOTAL),
+            notify_remote_delivered: registry.counter(&NOTIFY_REMOTE_DELIVERED_TOTAL),
+            notify_remote_buffered: registry.counter(&NOTIFY_REMOTE_BUFFERED_TOTAL),
+            notify_remote_dropped: registry.counter(&NOTIFY_REMOTE_DROPPED_TOTAL),
+            net_sent: registry.counter(&NET_SENT_TOTAL),
+            net_dropped: registry.counter(&NET_DROPPED_TOTAL),
+            net_delivered: registry.counter(&NET_DELIVERED_TOTAL),
+            net_bytes_sent: registry.counter(&NET_BYTES_SENT_TOTAL),
+            sensors_deployed: registry.gauge(&SENSORS_DEPLOYED),
+            remote_cursors_open: registry.gauge(&REMOTE_CURSORS_OPEN),
+            directory_registrations: registry.counter(&DIRECTORY_REGISTRATIONS_TOTAL),
+            directory_deregistrations: registry.counter(&DIRECTORY_DEREGISTRATIONS_TOTAL),
+            directory_lookups: registry.counter(&DIRECTORY_LOOKUPS_TOTAL),
+            ring_members: registry.gauge(&FEDERATION_RING_MEMBERS),
+            ring_ownership_permille: registry.gauge(&FEDERATION_RING_OWNERSHIP_PERMILLE),
+            replica_records: registry.gauge(&FEDERATION_REPLICA_RECORDS),
+            gossip_applied: registry.counter(&FEDERATION_GOSSIP_APPLIED_TOTAL),
+            gossip_stale: registry.counter(&FEDERATION_GOSSIP_STALE_TOTAL),
+        }
     }
 
     /// Stores the current subsystem totals into the registry cells.
@@ -978,8 +955,6 @@ impl SourcedMetrics {
         }
         self.sensors_deployed.set(totals.sensors as i64);
         self.remote_cursors_open.set(totals.remote_cursors as i64);
-        self.remote_queries_pending
-            .set(totals.remote_queries as i64);
         if let Some(directory) = totals.directory {
             self.directory_registrations.store(directory.registrations);
             self.directory_deregistrations
@@ -1009,8 +984,7 @@ mod tests {
     #[test]
     fn container_telemetry_registers_and_absorbs() {
         let registry = MetricsRegistry::new();
-        let telemetry = ContainerTelemetry::new();
-        telemetry.register_into(&registry);
+        let telemetry = ContainerTelemetry::new(&registry);
         let report = crate::StepReport {
             local_arrivals: 3,
             remote_arrivals: 1,
@@ -1040,8 +1014,7 @@ mod tests {
     #[test]
     fn sourced_metrics_store_the_current_totals() {
         let registry = MetricsRegistry::new();
-        let sourced = SourcedMetrics::new();
-        sourced.register_into(&registry);
+        let sourced = SourcedMetrics::new(&registry);
         let mut storage = gsn_storage::StorageStats {
             tables: 2,
             retained_elements: 100,

@@ -42,6 +42,8 @@ pub enum GsnError {
     ResourceExhausted(String),
     /// Configuration error outside descriptors (container/network settings).
     Config(String),
+    /// A peer request saw no progress before its deadline.
+    Timeout(String),
     /// Anything else.
     Internal(String),
 }
@@ -103,6 +105,10 @@ impl GsnError {
     pub fn config(msg: impl Into<String>) -> GsnError {
         GsnError::Config(msg.into())
     }
+    /// Builds a [`GsnError::Timeout`].
+    pub fn timeout(msg: impl Into<String>) -> GsnError {
+        GsnError::Timeout(msg.into())
+    }
     /// Builds a [`GsnError::Internal`].
     pub fn internal(msg: impl Into<String>) -> GsnError {
         GsnError::Internal(msg.into())
@@ -125,6 +131,7 @@ impl GsnError {
             GsnError::ShuttingDown(_) => "shutting-down",
             GsnError::ResourceExhausted(_) => "resource-exhausted",
             GsnError::Config(_) => "config",
+            GsnError::Timeout(_) => "timeout",
             GsnError::Internal(_) => "internal",
         }
     }
@@ -146,6 +153,7 @@ impl GsnError {
             | GsnError::ShuttingDown(m)
             | GsnError::ResourceExhausted(m)
             | GsnError::Config(m)
+            | GsnError::Timeout(m)
             | GsnError::Internal(m) => m,
         }
     }
@@ -192,6 +200,7 @@ mod tests {
             (GsnError::shutting_down("sd"), "shutting-down"),
             (GsnError::resource_exhausted("r"), "resource-exhausted"),
             (GsnError::config("c"), "config"),
+            (GsnError::timeout("to"), "timeout"),
             (GsnError::internal("z"), "internal"),
         ];
         for (err, cat) in cases {

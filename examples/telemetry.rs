@@ -132,7 +132,7 @@ fn main() {
     for _ in 0..100 {
         fed.step(Duration::from_millis(100));
         if let Some(s) = fed.node_mut(alpha).unwrap().take_peer_metrics(request) {
-            scraped = Some(s);
+            scraped = s.ok();
             break;
         }
     }

@@ -346,7 +346,7 @@ fn peers_scrape_metrics_snapshots_over_a_lossy_link() {
     for _ in 0..300 {
         fed.step(Duration::from_millis(100));
         if let Some(snapshot) = fed.node_mut(alpha).unwrap().take_peer_metrics(request) {
-            scraped = Some(snapshot);
+            scraped = Some(snapshot.expect("peer scrape failed"));
             break;
         }
     }
