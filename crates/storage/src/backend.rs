@@ -19,6 +19,9 @@
 //!
 //! `append` encodes the row once, logs it to the WAL (durability), then places it in the
 //! tail page inside the buffer pool (dirty pages reach disk on eviction or checkpoint).
+//! A row too large for one page is *chained* across dedicated pages; those pages are
+//! complete as soon as they are built, so the chain is written straight to the heap —
+//! each page once — and only its END page joins the pool as the new tail.
 //! A checkpoint — triggered by WAL growth or [`StorageBackend::flush`] — flushes dirty
 //! pages, fsyncs the heap, persists the prune watermark and resets the WAL.
 //! [`crate::StreamTable`] flushes on drop, so a cleanly dropped container checkpoints.
@@ -54,7 +57,7 @@ use parking_lot::Mutex;
 
 use crate::buffer::{BufferPoolStats, PageIo, SharedBufferPool, TableId};
 use crate::index::{self, PageSummary, SegmentIndex};
-use crate::page::{Page, PageId, MAX_INLINE_RECORD};
+use crate::page::{self, Page, PageId, MAX_INLINE_RECORD, PAGE_SIZE};
 use crate::retention::{DiskUsage, ReclaimStats, COMPACT_MIN_DEAD_RATIO};
 use crate::segment::{
     global_page_id, segment_of, SegmentedHeap, DEFAULT_SEGMENT_PAGES, MAX_SEGMENT_PAGES,
@@ -594,14 +597,6 @@ fn chain_tag(i: usize, n: usize) -> u8 {
     }
 }
 
-/// Prepends the tag byte to a chunk payload.
-fn frame_chunk(tag: u8, payload: &[u8]) -> Vec<u8> {
-    let mut framed = Vec::with_capacity(payload.len() + 1);
-    framed.push(tag);
-    framed.extend_from_slice(payload);
-    framed
-}
-
 /// In-memory index entry for one heap page (small and fixed-size: the index for a
 /// gigabyte heap is a few hundred kilobytes).
 #[derive(Debug, Clone)]
@@ -1056,8 +1051,9 @@ impl Inner {
         self.total_rows.saturating_sub(self.logical_start)
     }
 
-    /// Appends an encoded row to the tail page(s) through the pool (WAL already written
-    /// by the caller when required).
+    /// Appends an encoded row to the tail page(s) (WAL already written by the caller
+    /// when required): inline rows through the pool, chained rows straight to the heap
+    /// (see [`append_chain`](Self::append_chain)).
     fn append_to_pages(&mut self, record: &[u8], element: &StreamElement) -> GsnResult<()> {
         let ts = element.timestamp();
         match plan_record(record) {
@@ -1068,45 +1064,82 @@ impl Inner {
                     Some(pos) if self.tail_page_fits(self.index[pos].pid, needed)? => pos,
                     _ => self.start_new_page(self.total_rows)?,
                 };
-                self.append_chunk(target, CHUNK_FULL, record)?;
+                let pid = self.index[target].pid;
+                self.pool.with_page_mut(self.table_id, pid, |page| {
+                    page.append_parts(&[&[CHUNK_FULL], record])
+                        .map(|_| ())
+                        .ok_or_else(|| GsnError::storage("page unexpectedly full during append"))
+                })??;
                 let info = &mut self.index[target].info;
                 info.rows += 1;
                 info.bytes += record.len() as u64;
                 info.touch(ts);
             }
-            RecordLayout::Chained(chunks) => {
-                // Chain across fresh pages.  Roll to a new segment up front when the
-                // chain would not fit the tail segment's remaining pages (chains larger
-                // than a whole segment still span segments).
-                let n = chunks.len();
-                self.heap.lock().reserve_chain(n as u32, self.total_rows)?;
-                let mut start_pos = 0usize;
-                for (i, chunk) in chunks.iter().enumerate() {
-                    // Continuation pages: the next row to start is this one plus one.
-                    let target = self.start_new_page(self.total_rows + u64::from(i > 0))?;
-                    if i == 0 {
-                        start_pos = target;
-                    }
-                    self.append_chunk(target, chain_tag(i, n), chunk)?;
-                    self.index[target].info.touch(ts);
-                }
-                let info = &mut self.index[start_pos].info;
-                info.rows += 1;
-                info.bytes += record.len() as u64;
-            }
+            RecordLayout::Chained(chunks) => self.append_chain(&chunks, record.len(), ts)?,
         }
         self.note_row(element);
         Ok(())
     }
 
-    fn append_chunk(&mut self, target: usize, tag: u8, payload: &[u8]) -> GsnResult<()> {
-        let framed = frame_chunk(tag, payload);
-        let pid = self.index[target].pid;
-        self.pool.with_page_mut(self.table_id, pid, |page| {
-            page.append(&framed)
-                .map(|_| ())
-                .ok_or_else(|| GsnError::storage("page unexpectedly full during append"))
-        })?
+    /// Writes an oversized row as a chain of dedicated pages, each page written once.
+    ///
+    /// Every chunk page is finished the moment it is built (START and MID pages are
+    /// sealed; the END page only ever gains later inline rows), so the chain is laid
+    /// out in place in one buffer and written with one positioned write per segment it
+    /// lands in — one, unless the chain is longer than a segment.  START and MID pages
+    /// never enter the pool; the END page joins it, clean, as the new tail.
+    ///
+    /// The previous tail is flushed first and the chain's pages go out in order, so the
+    /// on-disk heap stays a gap-free prefix of the table (see
+    /// [`start_new_page`](Self::start_new_page)).
+    fn append_chain(
+        &mut self,
+        chunks: &[&[u8]],
+        record_len: usize,
+        ts: Timestamp,
+    ) -> GsnResult<()> {
+        self.flush_tail()?;
+        let n = chunks.len();
+        let row = self.total_rows;
+        // Roll to a new segment up front when the chain would not fit the tail
+        // segment's remaining pages (chains larger than a whole segment still span
+        // segments).
+        self.heap.lock().reserve_chain(n as u32, row)?;
+        let mut run = vec![0u8; n * PAGE_SIZE];
+        for (i, (chunk, out)) in chunks
+            .iter()
+            .zip(run.chunks_exact_mut(PAGE_SIZE))
+            .enumerate()
+        {
+            page::format_single_record(out, &[&[chain_tag(i, n)], chunk]);
+        }
+        let start_pos = self.index.len();
+        let mut written = 0;
+        while written < n {
+            // Continuation pages: the next row to start is this one plus one.
+            let (first_pid, count) = self
+                .heap
+                .lock()
+                .append_pages(&run[written * PAGE_SIZE..], row + u64::from(written > 0))?;
+            for k in 0..count {
+                let mut info = PageInfo::empty(row + u64::from(written + k > 0));
+                info.touch(ts);
+                self.index.push(PageEntry {
+                    pid: first_pid + k as PageId,
+                    info,
+                });
+            }
+            written += count;
+        }
+        let info = &mut self.index[start_pos].info;
+        info.rows += 1;
+        info.bytes += record_len as u64;
+        let end = self.index.last().expect("chain pages were indexed").pid;
+        let end_bytes: [u8; PAGE_SIZE] = run[(n - 1) * PAGE_SIZE..]
+            .try_into()
+            .expect("the END page is one page");
+        self.pool
+            .install_clean(self.table_id, end, Page::from_bytes(end_bytes)?)
     }
 
     fn tail_page_fits(&mut self, pid: PageId, needed: usize) -> GsnResult<bool> {
@@ -1114,20 +1147,29 @@ impl Inner {
             .with_page(self.table_id, pid, |page| page.free_space() >= needed)
     }
 
-    /// Allocates a fresh page at the tail: written empty to the heap immediately (so the
-    /// segment stays contiguous for recovery) and kept dirty in the pool for filling.
-    /// Rolls to a new segment — recording `first_row` in its header — when the tail
-    /// segment is full.
-    ///
-    /// The previous tail page is *completed* at this moment and will never be modified
-    /// again, so it is written through right away. This keeps the on-disk heap a
-    /// gap-free prefix of the table — the invariant WAL recovery relies on (replay fills
-    /// exactly the rows past the heap's highest sequence).  Returns the page's index
-    /// position.
-    fn start_new_page(&mut self, first_row: u64) -> GsnResult<usize> {
-        if let Some(entry) = self.index.last() {
-            self.pool.flush_page(self.table_id, entry.pid)?;
+    /// Writes the current tail page back if it is dirty.  A tail is complete once a
+    /// page follows it and is never modified again; writing it *before* its successor
+    /// keeps the on-disk heap a gap-free prefix of the table — the invariant WAL
+    /// recovery relies on (replay fills exactly the rows past the heap's highest
+    /// sequence).
+    fn flush_tail(&mut self) -> GsnResult<()> {
+        match self.index.last() {
+            Some(entry) => self.pool.flush_page(self.table_id, entry.pid),
+            None => Ok(()),
         }
+    }
+
+    /// Allocates a fresh page at the tail for inline rows: written empty to the heap
+    /// immediately (so the segment stays contiguous for recovery) and kept in the pool
+    /// for filling.  Rolls to a new segment — recording `first_row` in its header —
+    /// when the tail segment is full.
+    ///
+    /// The previous tail page is completed at this moment, so it is flushed first
+    /// ([`flush_tail`](Self::flush_tail)).  Chained rows do not come through here:
+    /// [`append_chain`](Self::append_chain) writes their finished pages in one go
+    /// under the same rule.  Returns the page's index position.
+    fn start_new_page(&mut self, first_row: u64) -> GsnResult<usize> {
+        self.flush_tail()?;
         let pid = {
             let mut heap = self.heap.lock();
             let pid = heap.next_page_id(first_row)?;
@@ -1680,7 +1722,7 @@ fn pack_rows(rows: &[StreamElement]) -> (Vec<Page>, Vec<PageInfo>) {
                     _ => fresh(&mut pages, &mut infos),
                 };
                 pages[target]
-                    .append(&frame_chunk(CHUNK_FULL, &record))
+                    .append_parts(&[&[CHUNK_FULL], &record])
                     .expect("page has space");
                 infos[target].rows += 1;
                 infos[target].bytes += record.len() as u64;
@@ -1695,7 +1737,7 @@ fn pack_rows(rows: &[StreamElement]) -> (Vec<Page>, Vec<PageInfo>) {
                         start = target;
                     }
                     pages[target]
-                        .append(&frame_chunk(chain_tag(i, n), chunk))
+                        .append_parts(&[&[chain_tag(i, n)], chunk])
                         .expect("chunk fits a page");
                     infos[target].touch(ts);
                 }
@@ -2235,6 +2277,79 @@ mod tests {
         );
     }
 
+    /// Crash points inside a chained row: a crash can cut the tail segment after any
+    /// page of the last row's chain.  For every such cut, recovery keeps the earlier
+    /// rows from the heap and rebuilds the cut row whole from the WAL, exactly once.
+    #[test]
+    fn chain_cut_at_any_page_is_rebuilt_once_from_the_wal() {
+        const ROWS: i64 = 4;
+        const PAYLOAD: usize = 32 * 1024;
+        let s = schema();
+        let source = temp_dir("backend-chain-crash");
+        {
+            let mut b = open(&source, 4);
+            for i in 1..=ROWS {
+                b.append(&element(&s, i, i, PAYLOAD)).unwrap();
+            }
+            // Dropped without a flush: the private WAL still holds every row.
+        }
+        let segment = std::fs::read_dir(&source)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .find(|p| p.extension().is_some_and(|x| x == "seg"))
+            .expect("one segment file");
+        let bytes = std::fs::read(&segment).unwrap();
+        let pages = bytes.len() / PAGE_SIZE - 1; // minus the header page
+        let per_row = pages / ROWS as usize;
+        assert_eq!(pages % ROWS as usize, 0, "rows chain over whole pages");
+        assert!(per_row > 2, "a 32 KiB row spans START, MID and END pages");
+        // Every chain page — END included — reached disk holding its chunk at append
+        // time, before any flush or checkpoint.
+        for page in bytes[PAGE_SIZE..].chunks_exact(PAGE_SIZE) {
+            let page = Page::from_bytes(page.try_into().unwrap()).unwrap();
+            assert_eq!(page.record_count(), 1);
+        }
+
+        let rows = |b: &PersistentBackend| {
+            let mut rows = Vec::new();
+            b.scan_window(WindowSpec::Count(usize::MAX), Timestamp(100), &mut |e| {
+                let v = e.value("V").unwrap().as_integer().unwrap();
+                let payload = e.value("PAYLOAD").unwrap();
+                let whole = payload.as_bytes().unwrap() == &vec![v as u8; PAYLOAD][..];
+                assert!(whole, "row {v} is rebuilt whole");
+                rows.push(v);
+            })
+            .unwrap();
+            rows
+        };
+        for cut in pages - per_row..pages {
+            let dir = temp_dir("backend-chain-crash-cut");
+            for entry in std::fs::read_dir(&source).unwrap() {
+                let path = entry.unwrap().path();
+                std::fs::copy(&path, dir.join(path.file_name().unwrap())).unwrap();
+            }
+            let cut_segment = dir.join(segment.file_name().unwrap());
+            std::fs::OpenOptions::new()
+                .write(true)
+                .open(&cut_segment)
+                .unwrap()
+                .set_len(((1 + cut) * PAGE_SIZE) as u64)
+                .unwrap();
+            let b = open(&dir, 4);
+            assert_eq!(rows(&b), (1..=ROWS).collect::<Vec<i64>>(), "cut at {cut}");
+            assert_eq!(b.max_sequence(), ROWS as u64);
+            drop(b);
+            // The rebuilt row is in the heap now: a second recovery replays nothing
+            // twice.
+            let b = open(&dir, 4);
+            assert_eq!(
+                rows(&b),
+                (1..=ROWS).collect::<Vec<i64>>(),
+                "reopen after cut at {cut}"
+            );
+        }
+    }
+
     #[test]
     fn pool_stays_within_budget_for_scans_larger_than_pool() {
         let dir = temp_dir("backend-bounded");
@@ -2435,6 +2550,35 @@ mod tests {
             },
         )
         .unwrap()
+    }
+
+    #[test]
+    fn chains_longer_than_a_segment_span_segments_and_recover() {
+        let dir = temp_dir("backend-chain-span");
+        let s = schema();
+        // Two-page segments: every 32 KiB chain (5 pages) continues across three
+        // segments, interleaved with inline rows that share the chains' END pages.
+        let expected: Vec<i64> = (1..=12).collect();
+        {
+            let mut b = open_segmented(&dir, 4, 2);
+            for i in 1..=12 {
+                let payload = if i % 3 == 0 { 8 } else { 32 * 1024 };
+                b.append(&element(&s, i, i, payload)).unwrap();
+            }
+            assert_eq!(
+                collect(&b, WindowSpec::Count(usize::MAX), Timestamp(100)),
+                expected
+            );
+            b.flush().unwrap();
+        }
+        // Recovery re-anchors each segment at its header's first_row (checked against
+        // the page scan by rebuild_index's debug assertions).
+        let b = open_segmented(&dir, 4, 2);
+        assert_eq!(
+            collect(&b, WindowSpec::Count(usize::MAX), Timestamp(100)),
+            expected
+        );
+        assert_eq!(b.max_sequence(), 12);
     }
 
     #[test]

@@ -503,6 +503,13 @@ impl SharedBufferPool {
         Ok(())
     }
 
+    /// Installs a page whose exact bytes the caller has just written to disk as
+    /// resident and clean, without a read: it is written back only if later mutated.
+    pub(crate) fn install_clean(&self, table: TableId, id: PageId, page: Page) -> GsnResult<()> {
+        self.acquire(table, id, Some(page))?.release_pin();
+        Ok(())
+    }
+
     /// Writes one page back through the table's I/O if it is resident and dirty.
     pub fn flush_page(&self, table: TableId, id: PageId) -> GsnResult<()> {
         let region = &self.regions[self.region_of(table, id)];
@@ -918,6 +925,24 @@ mod tests {
             .unwrap();
         pool.flush_table(t).unwrap();
         assert!(disk.page(9).is_some());
+    }
+
+    #[test]
+    fn clean_install_is_written_back_only_after_a_mutation() {
+        let (pool, disk, t) = pool_with_disk(2, 0);
+        let mut page = Page::new();
+        page.append(b"on disk").unwrap();
+        pool.install_clean(t, 4, page).unwrap();
+        pool.flush_table(t).unwrap();
+        assert_eq!(pool.stats().writebacks, 0);
+        assert_eq!(disk.reads(), 0);
+        pool.with_page_mut(t, 4, |p| {
+            p.append(b"more").unwrap();
+        })
+        .unwrap();
+        pool.flush_table(t).unwrap();
+        assert_eq!(pool.stats().writebacks, 1);
+        assert!(disk.page(4).unwrap().record(1).is_some());
     }
 
     #[test]

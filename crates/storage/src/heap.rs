@@ -18,7 +18,7 @@
 //! write-ahead log (see `wal`) and gets replayed by recovery.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -181,16 +181,14 @@ impl HeapFile {
         }
         header.resize(PAGE_SIZE, 0);
         self.file
-            .seek(SeekFrom::Start(0))
-            .and_then(|_| self.file.write_all(&header))
+            .write_all_at(&header, 0)
             .map_err(|e| GsnError::storage(format!("cannot write segment header: {e}")))
     }
 
     fn read_header(&mut self) -> GsnResult<()> {
         let mut header = vec![0u8; PAGE_SIZE];
         self.file
-            .seek(SeekFrom::Start(0))
-            .and_then(|_| self.file.read_exact(&mut header))
+            .read_exact_at(&mut header, 0)
             .map_err(|e| GsnError::storage(format!("cannot read segment header: {e}")))?;
         if &header[0..8] != MAGIC {
             return Err(GsnError::storage(format!(
@@ -251,13 +249,33 @@ impl HeapFile {
         (PAGE_SIZE as u64) * (1 + id as u64)
     }
 
-    fn read_page_raw(&mut self, id: PageId) -> GsnResult<Page> {
+    /// Reads page `id` with one positioned read.
+    fn read_page_raw(&self, id: PageId) -> GsnResult<Page> {
         let mut bytes = [0u8; PAGE_SIZE];
         self.file
-            .seek(SeekFrom::Start(Self::page_offset(id)))
-            .and_then(|_| self.file.read_exact(&mut bytes))
+            .read_exact_at(&mut bytes, Self::page_offset(id))
             .map_err(|e| GsnError::storage(format!("cannot read page {id}: {e}")))?;
         Page::from_bytes(bytes)
+    }
+
+    /// Writes a run of whole pages (`pages` is a multiple of [`PAGE_SIZE`] bytes)
+    /// starting at page `first`, with one positioned write.  The run may overwrite
+    /// existing pages and extend the file, but must start at or before the tail so the
+    /// segment never has a gap.
+    pub(crate) fn write_pages(&mut self, first: PageId, pages: &[u8]) -> GsnResult<()> {
+        assert_eq!(pages.len() % PAGE_SIZE, 0, "a page run is whole pages");
+        if first > self.page_count {
+            return Err(GsnError::storage(format!(
+                "cannot write page {first} beyond tail ({} pages)",
+                self.page_count
+            )));
+        }
+        self.file
+            .write_all_at(pages, Self::page_offset(first))
+            .map_err(|e| GsnError::storage(format!("cannot write page {first}: {e}")))?;
+        let end = first + (pages.len() / PAGE_SIZE) as PageId;
+        self.page_count = self.page_count.max(end);
+        Ok(())
     }
 
     /// Flushes file contents and metadata to stable storage.
@@ -295,20 +313,7 @@ impl PageIo for HeapFile {
     }
 
     fn write_page(&mut self, id: PageId, page: &Page) -> GsnResult<()> {
-        if id > self.page_count {
-            return Err(GsnError::storage(format!(
-                "cannot write page {id} beyond tail ({} pages)",
-                self.page_count
-            )));
-        }
-        self.file
-            .seek(SeekFrom::Start(Self::page_offset(id)))
-            .and_then(|_| self.file.write_all(&page.as_bytes()[..]))
-            .map_err(|e| GsnError::storage(format!("cannot write page {id}: {e}")))?;
-        if id == self.page_count {
-            self.page_count += 1;
-        }
-        Ok(())
+        self.write_pages(id, &page.as_bytes()[..])
     }
 }
 
@@ -316,6 +321,7 @@ impl PageIo for HeapFile {
 mod tests {
     use super::*;
     use gsn_types::DataType;
+    use std::io::Write;
 
     fn schema() -> Arc<StreamSchema> {
         Arc::new(StreamSchema::from_pairs(&[("v", DataType::Integer)]).unwrap())

@@ -363,7 +363,7 @@ impl StorageManager {
         let micros = sw.elapsed_micros();
         self.telemetry.insert_micros.record(micros);
         if durable {
-            // For durable tables the insert path is WAL append + page write.
+            // The whole durable insert, under its historical WAL name.
             self.telemetry.wal_append_micros.record(micros);
         }
         inserted

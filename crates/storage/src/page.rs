@@ -13,8 +13,10 @@
 //!   4 B      grows ->                        <- grows
 //! ```
 //!
-//! Records larger than a page's usable space get an *overflow chain* at the heap-file
-//! level (see `heap`); the page itself only deals in records that fit.
+//! Rows larger than a page's usable space are *chained* across dedicated pages by the
+//! persistent backend (see `backend`); the page itself only deals in records that fit.
+//! A chain page holds exactly one record, which `format_single_record` lays out in
+//! place inside a larger write buffer.
 
 use gsn_types::{GsnError, GsnResult};
 
@@ -149,17 +151,20 @@ impl Page {
 
     /// Appends a record, returning its slot index, or `None` when the page is full.
     pub fn append(&mut self, record: &[u8]) -> Option<usize> {
-        if !self.fits(record) || record.len() > MAX_INLINE_RECORD {
+        self.append_parts(&[record])
+    }
+
+    /// Appends one record whose bytes are the concatenation of `parts`, copied straight
+    /// into the page (no joined temporary), returning its slot index, or `None` when
+    /// the page is full.
+    pub(crate) fn append_parts(&mut self, parts: &[&[u8]]) -> Option<usize> {
+        let len: usize = parts.iter().map(|part| part.len()).sum();
+        if len > self.free_space() || len > MAX_INLINE_RECORD {
             return None;
         }
         let slot = self.record_count();
         let offset = self.free_start() as usize;
-        self.bytes[offset..offset + record.len()].copy_from_slice(record);
-        let pos = self.slot_position(slot);
-        self.bytes[pos..pos + 2].copy_from_slice(&(offset as u16).to_le_bytes());
-        self.bytes[pos + 2..pos + 4].copy_from_slice(&(record.len() as u16).to_le_bytes());
-        self.set_free_start((offset + record.len()) as u16);
-        self.set_record_count((slot + 1) as u16);
+        place_record(&mut self.bytes[..], slot, offset, parts);
         Some(slot)
     }
 
@@ -179,6 +184,39 @@ impl Page {
             &self.bytes[offset..offset + len]
         })
     }
+}
+
+/// Lays out `out` — exactly one page of bytes — as a page holding the single record
+/// `parts` (concatenated): byte-for-byte what [`Page::new`] plus one
+/// [`Page::append_parts`] produce, but written in place, so a run of pages can be built
+/// inside one write buffer.
+///
+/// # Panics
+/// When `out` is not [`PAGE_SIZE`] bytes or the record exceeds [`MAX_INLINE_RECORD`].
+pub(crate) fn format_single_record(out: &mut [u8], parts: &[&[u8]]) {
+    assert_eq!(out.len(), PAGE_SIZE, "a page is PAGE_SIZE bytes");
+    let len: usize = parts.iter().map(|part| part.len()).sum();
+    assert!(
+        len <= MAX_INLINE_RECORD,
+        "record of {len} bytes exceeds a page"
+    );
+    place_record(out, 0, HEADER_SIZE, parts);
+    out[HEADER_SIZE + len..PAGE_SIZE - SLOT_SIZE].fill(0);
+}
+
+/// Copies `parts` to `offset` as record `slot` and updates the slot entry and header.
+/// The caller has checked that the record fits.
+fn place_record(bytes: &mut [u8], slot: usize, offset: usize, parts: &[&[u8]]) {
+    let mut end = offset;
+    for part in parts {
+        bytes[end..end + part.len()].copy_from_slice(part);
+        end += part.len();
+    }
+    let pos = PAGE_SIZE - (slot + 1) * SLOT_SIZE;
+    bytes[pos..pos + 2].copy_from_slice(&(offset as u16).to_le_bytes());
+    bytes[pos + 2..pos + 4].copy_from_slice(&((end - offset) as u16).to_le_bytes());
+    bytes[0..2].copy_from_slice(&((slot + 1) as u16).to_le_bytes());
+    bytes[2..4].copy_from_slice(&(end as u16).to_le_bytes());
 }
 
 #[cfg(test)]
@@ -228,6 +266,26 @@ mod tests {
         let mut page = Page::new();
         assert!(page.append(&vec![0u8; MAX_INLINE_RECORD + 1]).is_none());
         assert!(page.append(&vec![0u8; MAX_INLINE_RECORD]).is_some());
+    }
+
+    #[test]
+    fn in_place_single_record_page_matches_an_appended_page() {
+        let chunk = vec![0xABu8; MAX_INLINE_RECORD - 1];
+        for parts in [
+            &[&b"\x03"[..], &chunk[..]][..],
+            &[&b""[..]][..],
+            &[&b"ab"[..], b"c"][..],
+        ] {
+            let mut expected = Page::new();
+            expected.append_parts(parts).unwrap();
+            let mut out = vec![0xFFu8; PAGE_SIZE];
+            format_single_record(&mut out, parts);
+            assert_eq!(&out[..], &expected.as_bytes()[..]);
+        }
+        // append_parts joins its parts exactly as append does.
+        let mut page = Page::new();
+        page.append_parts(&[b"al", b"", b"pha"]).unwrap();
+        assert_eq!(page.record(0), Some(&b"alpha"[..]));
     }
 
     #[test]

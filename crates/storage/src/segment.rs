@@ -38,7 +38,7 @@ use gsn_types::{GsnError, GsnResult, StreamSchema};
 
 use crate::buffer::PageIo;
 use crate::heap::HeapFile;
-use crate::page::{Page, PageId};
+use crate::page::{Page, PageId, PAGE_SIZE};
 
 /// Bits of a global page id addressing the page *within* its segment.
 pub const SEGMENT_PAGE_BITS: u32 = 8;
@@ -311,6 +311,25 @@ impl SegmentedHeap {
         Ok(global_page_id(tail.segment_id(), tail.page_count()))
     }
 
+    /// Appends as many of the whole pages in `run` as the tail segment has room for,
+    /// with one positioned write, rolling first (with `first_row` in the new header)
+    /// when the tail is full.  Returns the global id of the first page written and the
+    /// number of pages written; their ids are consecutive.  A caller with a longer run
+    /// calls again for the rest, which continues in a fresh segment.
+    pub(crate) fn append_pages(
+        &mut self,
+        run: &[u8],
+        first_row: u64,
+    ) -> GsnResult<(PageId, usize)> {
+        let first = self.next_page_id(first_row)?;
+        let segment_pages = self.segment_pages;
+        let tail = self.segments.last_mut().expect("tail segment exists");
+        let room = (segment_pages - tail.page_count()) as usize;
+        let count = (run.len() / PAGE_SIZE).min(room);
+        tail.write_pages(tail.page_count(), &run[..count * PAGE_SIZE])?;
+        Ok((first, count))
+    }
+
     /// Ensures the tail segment has room for a `pages`-page overflow chain, rolling
     /// early so the chain stays within one segment when it can (chains larger than a
     /// whole segment are allowed to span segments).
@@ -570,6 +589,27 @@ mod tests {
         let (other, existed) = SegmentedHeap::create_or_open(&dir, "other", schema(), 2).unwrap();
         assert!(existed);
         assert_eq!(other.segment_count(), 1);
+    }
+
+    #[test]
+    fn page_runs_fill_the_tail_then_continue_in_a_fresh_segment() {
+        let dir = crate::testutil::temp_dir("segheap-runs");
+        let (mut heap, _) = SegmentedHeap::create_or_open(&dir, "t", schema(), 4).unwrap();
+        let pid = heap.next_page_id(0).unwrap();
+        heap.write_page(pid, &record_page(b"head")).unwrap();
+        let run: Vec<u8> = (0..5u8)
+            .flat_map(|i| *record_page(&[i]).as_bytes())
+            .collect();
+        // Three pages fit the tail segment; the other two roll into a new one.
+        let (first, written) = heap.append_pages(&run, 1).unwrap();
+        assert_eq!((first, written), (pid + 1, 3));
+        let (second, rest) = heap.append_pages(&run[written * PAGE_SIZE..], 2).unwrap();
+        assert_eq!(rest, 2);
+        assert_eq!(heap.segment_count(), 2);
+        assert_eq!(heap.segments().nth(1).unwrap().first_row(), 2);
+        for (i, id) in (first..first + 3).chain(second..second + 2).enumerate() {
+            assert_eq!(heap.read_page(id).unwrap().record(0), Some(&[i as u8][..]));
+        }
     }
 
     #[test]

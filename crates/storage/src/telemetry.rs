@@ -18,11 +18,13 @@ pub static STORAGE_INSERT_MICROS: MetricDesc = MetricDesc::histogram(
     "microseconds",
 );
 
-/// Insert latency of durable tables only — dominated by the WAL append plus
-/// the buffer-pool page write, which is why it carries the WAL name.
+/// Latency of the *whole* insert into a durable table, not of the WAL append
+/// alone: the same stopwatch value as [`STORAGE_INSERT_MICROS`] (table lock, WAL
+/// append, page write, retention), recorded a second time for durable tables
+/// only.  The name is historical.
 pub static STORAGE_WAL_APPEND_MICROS: MetricDesc = MetricDesc::histogram(
     "gsn_storage_wal_append_micros",
-    "Latency of a durable insert (WAL append + page write)",
+    "Latency of a whole durable-table insert (lock, WAL append, page write, retention), not the WAL append alone",
     "microseconds",
 );
 
@@ -101,7 +103,7 @@ pub static STORAGE_INDEX_PAGES_SKIPPED: MetricDesc = MetricDesc::counter(
 pub struct StorageTelemetry {
     /// All-table insert latency.
     pub insert_micros: Histogram,
-    /// Durable-table insert latency (WAL append + page write).
+    /// Whole-insert latency of durable tables (see [`STORAGE_WAL_APPEND_MICROS`]).
     pub wal_append_micros: Histogram,
     /// Per-table WAL fsync latency at group commit.
     pub wal_sync_micros: Histogram,
